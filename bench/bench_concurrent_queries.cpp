@@ -55,11 +55,12 @@
 // BQO_MAX_CLIENTS (default 8), plus the engine knobs BQO_THREADS (per-query
 // workers, default 1 here — serving scales across queries, not inside
 // them), BQO_POOL_THREADS, BQO_MORSEL_ROWS, BQO_QUEUE_BATCHES. The serving
-// knobs BQO_DEADLINE_MS / BQO_ADMISSION_QUEUE overlay the overload phase's
-// service (ApplyServingEnvOverrides), and BQO_FAULT_SITES / BQO_FAULT_EVERY
-// arm the fault injector for the **overload phase only** (the CI
-// fault-smoke job runs exactly that: injected faults must degrade results,
-// never hang or crash the bench). Checksum verification is skipped for the
+// knobs (ApplyServingEnvOverrides: BQO_PLAN_CACHE_CAP, BQO_DRIFT_MARGIN,
+// BQO_EWMA_ALPHA, BQO_DEADLINE_MS, BQO_ADMISSION_QUEUE, ...) overlay the
+// scaling, templated, and overload phases' services, and BQO_FAULT_SITES /
+// BQO_FAULT_EVERY arm the fault injector for the **overload phase only**
+// (the CI fault-smoke job runs exactly that: injected faults must degrade
+// results, never hang or crash the bench). Checksum verification is skipped for the
 // overload phase alone — a faulted query's results are void by contract —
 // so the scaling, templated, and shared-builds phases always verify.
 #include <algorithm>
@@ -162,8 +163,9 @@ QuerySpec JitterSpecConstants(const QuerySpec& spec, int variant) {
 
 /// Serving steady state under templated traffic: one service, every query
 /// arriving repeatedly with jittered literals. Emits the shape-cache
-/// outcome counters — under an in-band jitter the sweep should be almost
-/// all shape hits (exact + rebinds) with few re-optimizations; this is
+/// outcome counters — under a small jitter every rebind passes the re-cost
+/// check, so the sweep should be almost all shape hits (exact + rebinds)
+/// with few re-optimizations; this is
 /// also the CI cache-stress smoke's TSan workout (concurrent re-binds,
 /// entry replacement, and EWMA feedback on shared entries).
 void RunTemplatedPhase(const Workload& workload, size_t limit, int rounds,
@@ -555,6 +557,7 @@ int main() {
     QueryServiceOptions options;
     options.optimizer.mode = OptimizerMode::kBqoShallow;
     options.execution.exec = ExecConfigFromEnv();
+    options = ApplyServingEnvOverrides(options);
     QueryService service(workload.catalog.get(), options);
 
     // Cold pass: populate the plan cache (unmeasured, single sweep) and

@@ -26,17 +26,22 @@
 namespace bqo {
 
 struct JoinBuildSide {
-  /// Hash-table entry: chain link for collisions/duplicates plus the
-  /// row-major offset of the entry's tuple in `rows`.
+  /// Hash-table entry: the high 32 bits of the tuple's hash (chains hold
+  /// one bucket's entries, whose low bits are equal anyway) and the chain
+  /// link for collisions/duplicates. Entry i's tuple is row i of `rows`,
+  /// at offset i * width.
   struct Entry {
-    uint64_t hash;
+    uint32_t hash_tag;
     int32_t next;       ///< chain for collisions/duplicates, -1 = end
-    int32_t row_start;  ///< offset into rows (row-major)
+
+    static uint32_t Tag(uint64_t hash) {
+      return static_cast<uint32_t>(hash >> 32);
+    }
   };
 
   std::vector<int32_t> buckets;  ///< -1 = empty; size is a power of two
   std::vector<Entry> entries;
-  std::vector<int64_t> rows;     ///< row-major build tuples
+  std::vector<int64_t> rows;     ///< row-major build tuples, exact size
   int width = 0;                 ///< columns per tuple in `rows`
   uint64_t bucket_mask = 0;
 

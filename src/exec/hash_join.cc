@@ -68,6 +68,9 @@ void HashJoinOperator::DrainBuild(JoinBuildSide* side) {
       }
     }
   }
+  // Growth slack would stay resident for as long as the side is shared
+  // (BuildCache entries outlive the query).
+  side->rows.shrink_to_fit();
 }
 
 void HashJoinOperator::HashBuildRows(const JoinBuildSide& side,
@@ -115,10 +118,9 @@ std::shared_ptr<const JoinBuildSide> HashJoinOperator::ConstructBuildSide() {
   std::vector<uint64_t> hashes;
   HashBuildRows(*side, &hashes);
   side->entries.reserve(hashes.size());
-  for (size_t r = 0; r < hashes.size(); ++r) {
-    side->entries.push_back(JoinBuildSide::Entry{
-        hashes[r], -1,
-        static_cast<int32_t>(r * static_cast<size_t>(build_width_))});
+  for (uint64_t h : hashes) {
+    side->entries.push_back(
+        JoinBuildSide::Entry{JoinBuildSide::Entry::Tag(h), -1});
   }
 
   // Create this join's bitvector filter, sized exactly to the build side.
@@ -138,13 +140,15 @@ std::shared_ptr<const JoinBuildSide> HashJoinOperator::ConstructBuildSide() {
     side->filter_size_bytes = side->filter->SizeBytes();
   }
 
-  // Bucketize.
+  // Bucketize at load factor (1/2, 1]: the tag test keeps chain walks
+  // cheap, and the bucket array stays resident as long as the side is
+  // shared.
   const uint64_t num_buckets =
-      NextPow2(side->entries.size() < 8 ? 16 : side->entries.size() * 2);
+      NextPow2(side->entries.size() < 16 ? 16 : side->entries.size());
   side->buckets.assign(num_buckets, -1);
   side->bucket_mask = num_buckets - 1;
   for (size_t i = 0; i < side->entries.size(); ++i) {
-    const uint64_t b = side->entries[i].hash & side->bucket_mask;
+    const uint64_t b = hashes[i] & side->bucket_mask;
     side->entries[i].next = side->buckets[b];
     side->buckets[b] = static_cast<int32_t>(i);
   }
@@ -275,12 +279,12 @@ void HashJoinOperator::HashProbeBatch(ProbeState* ps) const {
   }
 }
 
-bool HashJoinOperator::KeysEqual(const JoinBuildSide::Entry& entry,
-                                 const Batch& batch, int row) const {
+bool HashJoinOperator::KeysEqual(int32_t row_start, const Batch& batch,
+                                 int row) const {
   const size_t nkeys = config_.build_key_positions.size();
   for (size_t k = 0; k < nkeys; ++k) {
     const int64_t build_val =
-        side_->rows[static_cast<size_t>(entry.row_start) +
+        side_->rows[static_cast<size_t>(row_start) +
                     static_cast<size_t>(config_.build_key_positions[k])];
     const int64_t probe_val =
         batch.col(config_.probe_key_positions[k])[row];
@@ -378,24 +382,26 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
       // Resume an in-progress duplicate chain.
       if (ps->pending_entry >= 0) {
         const int probe_row = ps->cursor - 1;
+        const uint32_t tag = JoinBuildSide::Entry::Tag(ps->pending_hash);
         while (ps->pending_entry >= 0 && ncand < capacity) {
+          const int32_t index = ps->pending_entry;
           const JoinBuildSide::Entry& e =
-              side_->entries[static_cast<size_t>(ps->pending_entry)];
+              side_->entries[static_cast<size_t>(index)];
           ps->pending_entry = e.next;
           if (ps->pending_entry >= 0) {
             __builtin_prefetch(
                 &side_->entries[static_cast<size_t>(ps->pending_entry)]);
           }
-          // Compare the precomputed hashes before touching key columns: a
-          // chain mixes genuine duplicates with bucket collisions, and the
-          // hash test rejects collisions with one resident comparison.
-          if (e.hash == ps->pending_hash &&
-              KeysEqual(e, ps->in, probe_row)) {
+          // Compare the precomputed hash tags before touching key columns:
+          // a chain mixes genuine duplicates with bucket collisions, and
+          // the tag test rejects collisions with one resident comparison.
+          const int32_t row_start = index * build_width_;
+          if (e.hash_tag == tag && KeysEqual(row_start, ps->in, probe_row)) {
             if (!ps->pending_matched) {
               ps->pending_matched = true;
               ++ps->rows_matched;
             }
-            cand_build[ncand] = e.row_start;
+            cand_build[ncand] = row_start;
             cand_probe[ncand] = probe_row;
             cand_hash[ncand] = ps->pending_hash;
             ++ncand;

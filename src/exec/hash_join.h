@@ -150,8 +150,7 @@ class HashJoinOperator final : public PhysicalOperator {
   /// \brief Hash every row of ps->in into ps->hashes and prefetch the
   /// bucket heads the stride is about to touch.
   void HashProbeBatch(ProbeState* ps) const;
-  bool KeysEqual(const JoinBuildSide::Entry& entry, const Batch& batch,
-                 int row) const;
+  bool KeysEqual(int32_t row_start, const Batch& batch, int row) const;
   /// \brief Batched residual-filter pass over `ncand` buffered candidates:
   /// winnows ps->sel in place and returns the surviving count.
   int WinnowResiduals(ProbeState* ps, int ncand);

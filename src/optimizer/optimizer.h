@@ -49,23 +49,14 @@ struct OptimizerOptions {
   /// (PlanFilter::chosen_kind). Part of the plan's cache identity.
   FilterMenuOptions filter_menu;
 
-  // ---- Parameterized-plan validity band (src/optimizer/parameterized.h;
-  // not part of the plan's cache identity — they bound reuse, they don't
-  // change the plan optimization produces) ----
-
-  /// Widest selectivity band for re-bound plan reuse: a cached join order
-  /// is served while each re-bound relation's selectivity stays within
-  /// this factor (up or down) of its optimize-time value — tightened per
-  /// relation by probe re-optimizations (below). <= 1 disables banded
-  /// reuse: any moved constant escalates to full re-optimization.
-  /// Env overlay: BQO_SEL_BAND (ApplyServingEnvOverrides).
-  double reopt_sel_band = 4.0;
-  /// Probe re-optimizations per direction per predicated relation when
-  /// deriving the band: selectivity is scaled to geometric steps of
-  /// reopt_sel_band and the optimizer re-run; the band edge is the last
-  /// step at which the chosen join order and unpruned filter menu were
-  /// unchanged. 0 = skip probing and trust reopt_sel_band as-is.
-  int band_probe_steps = 2;
+  /// Sub-optimality bound B of re-bound plan reuse (src/server/
+  /// plan_cache.h): a cached plan re-costed at moved selectivities is
+  /// served iff R * prod(s_opt / s_new over selectivities that fell)
+  /// <= B * C_e, which bounds its cost by B times the optimum at the new
+  /// point. Not part of the plan's cache identity — it bounds reuse, it
+  /// does not change the plan optimization produces. 1 serves only
+  /// re-bound plans the check proves optimal.
+  double recost_bound = 2.0;
 };
 
 struct OptimizedQuery {

@@ -1,44 +1,15 @@
 #include "src/optimizer/parameterized.h"
 
 #include <algorithm>
-#include <cmath>
-#include <utility>
 
-#include "src/common/string_util.h"
 #include "src/stats/estimated_cost.h"
 
 namespace bqo {
 
-namespace {
-
-/// Structural identity of an optimization outcome: the join-order
-/// signature plus the unpruned filter menu (source join and application
-/// site, comparable across plans with equal signatures). Two probe runs
-/// with equal keys made the same choice, so the probed selectivity is
-/// inside the validity band.
-std::string PlanChoiceKey(const Plan& plan) {
-  std::string key = plan.Signature();
-  for (const PlanFilter& f : plan.filters) {
-    if (!f.pruned) {
-      key += StringFormat(";%d@%d", f.source_join, f.applied_at);
-    }
-  }
-  return key;
+double RelationSelectivity(const JoinGraph& graph, int rel) {
+  const RelationRef& r = graph.relation(rel);
+  return std::clamp(r.filtered_rows / std::max(r.base_rows, 1.0), 0.0, 1.0);
 }
-
-/// True if re-optimizing with relation `rel` scaled to `sel` keeps the
-/// choice `chosen`.
-bool StableAt(const JoinGraph& graph, int rel, double sel,
-              StatsCatalog* stats, const OptimizerOptions& options,
-              const std::string& chosen) {
-  JoinGraph probe = graph;
-  RelationRef& r = probe.relation(rel);
-  r.filtered_rows =
-      std::clamp(sel * r.base_rows, 0.0, std::max(r.base_rows, 0.0));
-  return PlanChoiceKey(OptimizeQuery(probe, stats, options).plan) == chosen;
-}
-
-}  // namespace
 
 ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
                                         StatsCatalog* stats,
@@ -51,61 +22,11 @@ ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
   // PlanFilter::estimated_lambda — the latter is only filled when pruning
   // runs, and the drift reference must exist either way.
   EstimatedCoutModel aware_model(stats, options.filter_fp_rate);
-  const CoutBreakdown breakdown = aware_model.Compute(out.optimized.plan);
-  out.estimated_lambda = breakdown.filter_lambda;
+  out.estimated_lambda = aware_model.Compute(out.optimized.plan).filter_lambda;
 
-  out.optimize_sel.resize(static_cast<size_t>(graph.num_relations()), 1.0);
-  out.bands.resize(static_cast<size_t>(graph.num_relations()));
-  const double band = options.reopt_sel_band;
-  const std::string chosen = PlanChoiceKey(out.optimized.plan);
+  out.optimize_sel.resize(static_cast<size_t>(graph.num_relations()));
   for (int r = 0; r < graph.num_relations(); ++r) {
-    const RelationRef& rel = graph.relation(r);
-    const double base = std::max(rel.base_rows, 1.0);
-    const double sel = std::clamp(rel.filtered_rows / base, 0.0, 1.0);
-    out.optimize_sel[static_cast<size_t>(r)] = sel;
-    SelectivityBand& b = out.bands[static_cast<size_t>(r)];
-    if (out.constants[static_cast<size_t>(r)].empty()) {
-      continue;  // slotless: shape-equal queries cannot move this relation
-    }
-    if (band <= 1.0) {
-      // Banded reuse disabled: any moved constant re-optimizes.
-      b.lo = b.hi = sel;
-      continue;
-    }
-    b.lo = sel / band;
-    b.hi = std::min(1.0, sel * band);
-    if (options.band_probe_steps <= 0) continue;
-
-    // Tighten each edge to the last geometric step of `band` at which a
-    // probe re-optimization kept the chosen plan; when even the first
-    // step flips the plan, one refinement probe at its geometric midpoint
-    // decides between a narrow band and no slack at all.
-    const int steps = options.band_probe_steps;
-    for (int dir = -1; dir <= 1; dir += 2) {
-      double last_stable = 1.0;
-      bool flipped = false;
-      for (int s = 1; s <= steps; ++s) {
-        const double factor =
-            std::pow(band, static_cast<double>(dir) * s / steps);
-        if (!StableAt(graph, r, sel * factor, stats, options, chosen)) {
-          flipped = true;
-          if (s == 1) {
-            const double mid = std::sqrt(factor);
-            if (StableAt(graph, r, sel * mid, stats, options, chosen)) {
-              last_stable = mid;
-            }
-          }
-          break;
-        }
-        last_stable = factor;
-      }
-      if (!flipped) continue;  // stable through the whole band: keep edge
-      if (dir < 0) {
-        b.lo = sel * last_stable;
-      } else {
-        b.hi = std::min(1.0, sel * last_stable);
-      }
-    }
+    out.optimize_sel[static_cast<size_t>(r)] = RelationSelectivity(graph, r);
   }
   return out;
 }

@@ -3,25 +3,20 @@
 // A serving workload sends the same query *template* with varying literals.
 // Re-running the optimizer per instance wastes the paper's Section 6.5
 // overhead; blindly reusing the first instance's plan risks serving a join
-// order chosen for very different selectivities. The paper's robustness
-// observation — the bitvector-aware plan stays (near-)optimal while the
-// estimated filter lambdas stay near their optimize-time values — gives
-// the reuse rule implemented here:
+// order chosen for very different selectivities. OptimizeParameterized
+// records, next to the optimized plan, what the serving layer needs to
+// decide reuse without optimizing again:
 //
-//  * OptimizeParameterized records, next to the optimized plan, the
-//    constant slot table it was bound under, each relation's optimize-time
-//    selectivity, and every filter's estimated lambda.
-//  * For each relation whose predicate has constant slots it derives a
-//    **validity band**: the selectivity range within which re-running the
-//    optimizer still picks the same join order and the same unpruned
-//    filter menu. The band is found by probe re-optimizations at geometric
-//    steps of OptimizerOptions::reopt_sel_band (scaling that relation's
-//    filtered_rows and re-optimizing); the edge is the last stable step.
+//  * the constant slot table the plan was bound under,
+//  * each relation's optimize-time selectivity, and
+//  * every filter's estimated lambda (the observed-lambda drift reference).
 //
-// The serving layer (src/server/plan_cache.h) then re-binds new constants
-// into the cached shape, re-estimates only the moved relations, and serves
-// the cached join order iff every moved selectivity lands inside its band
-// — escalating to full re-optimization otherwise.
+// The plan-shape cache (src/server/plan_cache.h) then re-binds new
+// constants into the cached shape, re-estimates only the moved relations,
+// and re-costs the cached plan once at the new selectivities: the plan is
+// served iff its re-cost passes the SCR bound (Dutt, Narasayya &
+// Chaudhuri, SIGMOD 2017) against the optimize-time cost — escalating to
+// full re-optimization otherwise. No probe optimizations are run here.
 #pragma once
 
 #include <vector>
@@ -30,20 +25,9 @@
 
 namespace bqo {
 
-/// \brief Selectivity range [lo, hi] (filtered_rows / base_rows) within
-/// which a cached plan's join order and filter menu remain the optimizer's
-/// choice for one relation. Slotless relations get the degenerate full
-/// band [0, 1] — their selectivity cannot move without a shape change.
-struct SelectivityBand {
-  double lo = 0.0;
-  double hi = 1.0;
-
-  bool Contains(double sel) const { return sel >= lo && sel <= hi; }
-};
-
 /// \brief An optimized plan plus the slot/selectivity annotations the
-/// plan-shape cache needs to re-bind and validity-check it. All vectors
-/// indexed by relation, except estimated_lambda (by filter id).
+/// plan-shape cache needs to re-bind and re-cost it. All vectors indexed
+/// by relation, except estimated_lambda (by filter id).
 struct ParameterizedPlan {
   OptimizedQuery optimized;
   /// Constant slot table the plan was optimized under (one vector per
@@ -51,19 +35,20 @@ struct ParameterizedPlan {
   std::vector<std::vector<Value>> constants;
   /// Optimize-time selectivity per relation (filtered_rows / base_rows).
   std::vector<double> optimize_sel;
-  /// Validity band per relation (see module comment).
-  std::vector<SelectivityBand> bands;
   /// Estimated elimination fraction per filter id at optimize time — the
   /// reference the feedback EWMA drifts against (pruned filters: 0).
   std::vector<double> estimated_lambda;
 };
 
 /// \brief Optimize `graph` (which must have statistics attached) and
-/// derive the reuse annotations. Costs the base OptimizeQuery plus up to
-/// `band_probe_steps`+1 probe re-optimizations per direction per
-/// predicated relation — paid on cache misses only.
+/// record the reuse annotations: one OptimizeQuery plus one walk of the
+/// estimated cost model over the chosen plan.
 ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
                                         StatsCatalog* stats,
                                         const OptimizerOptions& options);
+
+/// \brief Selectivity (filtered_rows / base_rows, clamped to [0, 1]) of
+/// relation `rel` — the quantity the re-cost bound compares.
+double RelationSelectivity(const JoinGraph& graph, int rel);
 
 }  // namespace bqo

@@ -22,8 +22,9 @@ PlanCache::PlanCache(size_t capacity)
 std::string PlanCache::ShapeSignature(const JoinGraph& graph,
                                       const OptimizerOptions& options) {
   // Optimizer knobs first — they change the produced plan, so they are
-  // part of the identity of the cached artifact. The band/drift knobs are
-  // deliberately absent: they bound reuse, not the plan itself.
+  // part of the identity of the cached artifact. The re-cost bound and
+  // drift knobs are deliberately absent: they bound reuse, not the plan
+  // itself.
   std::string sig = StringFormat(
       "mode=%s;lambda=%.9g;fp=%.9g;dp=%d;exh=%zu;"
       "menu=%d;mbits=%.9g;mcf=%.9g/%.9g;mcp=%.9g",
@@ -41,6 +42,8 @@ std::string PlanCache::ShapeSignature(const JoinGraph& graph,
 PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
                                            int64_t catalog_version,
                                            const JoinGraph& query_graph,
+                                           StatsCatalog* stats,
+                                           const OptimizerOptions& options,
                                            QueryTrace* trace) {
   LookupOutcome out;
   {
@@ -96,16 +99,18 @@ PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
   ScopedSpan rebind_span(trace, SpanKind::kRebind, "rebind");
   auto inst = std::make_shared<CachedPlan>();
   inst->graph = entry.graph;  // optimize-time constants + statistics
+  // Product of s_opt / s_new over the selectivities that fell: the most
+  // the optimum can have dropped since optimize time (header comment).
+  double optimum_drop = 1.0;
   for (int r : moved) {
-    RelationRef& rel = inst->graph.relation(r);
-    rel.predicate = query_graph.relation(r).predicate;
+    inst->graph.relation(r).predicate = query_graph.relation(r).predicate;
     AttachRelationStatistics(&inst->graph, r);  // only the moved slots
-    const double base = std::max(rel.base_rows, 1.0);
-    const double sel = std::clamp(rel.filtered_rows / base, 0.0, 1.0);
-    if (!entry.bands[static_cast<size_t>(r)].Contains(sel)) {
-      // Out of the validity band: the cached join order is not known to
-      // be the optimizer's choice at this selectivity. Escalate.
-      return refuse();
+    const double s_new = RelationSelectivity(inst->graph, r);
+    const double s_opt = entry.optimize_sel[static_cast<size_t>(r)];
+    if (s_new < s_opt) {
+      // An emptied relation leaves the optimum unbounded below.
+      if (s_new <= 0) return refuse();
+      optimum_drop *= s_opt / s_new;
     }
   }
   // Aliases are naming, not semantics (excluded from the shape), but the
@@ -115,7 +120,14 @@ PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
   }
   inst->plan = entry.plan.Clone();
   inst->plan.graph = &inst->graph;
-  inst->estimated_cost = entry.estimated_cost;
+  inst->estimated_cost =
+      EstimatedCoutModel(stats, options.filter_fp_rate).Cout(inst->plan);
+  if (inst->estimated_cost * optimum_drop >
+      options.recost_bound * entry.estimated_cost) {
+    // The cached plan is not provably within the bound of the optimum at
+    // these selectivities. Escalate.
+    return refuse();
+  }
   inst->pruned_filters = entry.pruned_filters;
   inst->optimize_ns = entry.optimize_ns;
 
@@ -132,7 +144,8 @@ PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
 
 std::shared_ptr<const CachedPlan> PlanCache::Insert(
     const std::string& shape_signature, int64_t catalog_version,
-    const JoinGraph& graph, ParameterizedPlan optimized) {
+    const JoinGraph& graph, ParameterizedPlan optimized,
+    const CachedPlan* refused) {
   auto entry = std::make_shared<CachedPlan>();
   entry->graph = graph;  // owned copy: the caller's graph is stack-local
   entry->plan = std::move(optimized.optimized.plan);
@@ -142,9 +155,23 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
   entry->optimize_ns = optimized.optimized.optimize_ns;
   entry->constants = std::move(optimized.constants);
   entry->optimize_sel = std::move(optimized.optimize_sel);
-  entry->bands = std::move(optimized.bands);
-  entry->estimated_lambda = std::move(optimized.estimated_lambda);
-  entry->lambda_ewma.assign(entry->estimated_lambda.size(), -1.0);
+  entry->lambda_reference = std::move(optimized.estimated_lambda);
+  entry->lambda_ewma.assign(entry->lambda_reference.size(), -1.0);
+  if (refused != nullptr && refused->stale.load(std::memory_order_relaxed)) {
+    // Re-anchor drift on what the stale entry observed: the estimates
+    // just reproduced are the ones it drifted away from.
+    std::lock_guard<std::mutex> feedback(refused->feedback_mu);
+    for (const PlanFilter& f : entry->plan.filters) {
+      for (const PlanFilter& old : refused->plan.filters) {
+        const double observed =
+            refused->lambda_ewma[static_cast<size_t>(old.id)];
+        if (old.source_join == f.source_join &&
+            old.applied_at == f.applied_at && observed >= 0) {
+          entry->lambda_reference[static_cast<size_t>(f.id)] = observed;
+        }
+      }
+    }
+  }
 
   std::lock_guard<std::mutex> lock(mu_);
   if (catalog_version != seen_catalog_version_) {
@@ -153,9 +180,10 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
   }
   auto it = entries_.find(shape_signature);
   if (it != entries_.end()) {
-    // Replace: the re-optimization escalation swaps the stale/out-of-band
-    // entry for the fresh one. (A concurrent double-optimize lands here
-    // too; both entries are fresh and equivalent, so last-wins is fine.)
+    // Replace: the re-optimization escalation swaps the refused entry for
+    // the fresh one. (A concurrent double-optimize lands here too; both
+    // entries are fresh and equivalent — each re-anchored on the same
+    // refused entry — so last-wins is fine.)
     it->second.entry = entry;
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return entry;
@@ -186,7 +214,7 @@ void PlanCache::RecordObservedLambdas(
       ewma = ewma < 0 ? observed
                       : (1.0 - options_.lambda_ewma_alpha) * ewma +
                             options_.lambda_ewma_alpha * observed;
-      if (std::abs(ewma - entry->estimated_lambda[id]) >
+      if (std::abs(ewma - entry->lambda_reference[id]) >
           options_.lambda_drift_margin) {
         drifted = true;
       }

@@ -19,29 +19,43 @@
 // caps). A query whose predicates have no constant slots degenerates to
 // the old exact-match cache: its lookups always compare equal.
 //
-// == Lookup = match + re-bind + validity check ==
+// == Lookup = match + re-bind + re-cost check ==
 //
 // Lookup matches on shape, then compares the query's constant slot table
 // against the entry's. Identical constants: the entry itself is served
 // (zero-copy, the degenerate exact hit). Moved constants: the entry's
 // graph is copied, the query's predicates installed, and **only the moved
 // relations'** selectivities re-estimated (AttachRelationStatistics —
-// exact single-table cardinalities); if every moved selectivity lands
-// inside the entry's validity band (derived by probe re-optimizations,
-// src/optimizer/parameterized.h) and the entry is not stale, a private
-// executable instance with the cached join order is served (`rebinds`).
-// Out-of-band, stale, or mismatched slots escalate: the caller must run
-// OptimizeParameterized and Insert, which *replaces* the entry
-// (`reoptimizations`).
+// exact single-table cardinalities). The cached plan is then walked once
+// with EstimatedCoutModel at the rebound selectivities; call that re-cost
+// R. With C_e the entry's optimize-time estimated cost and s_opt / s_new a
+// moved relation's optimize-time / rebound selectivity, the rebound plan
+// is served (`rebinds`) iff
+//
+//     R * prod_{moved r: s_new < s_opt} (s_opt / s_new) <= B * C_e
+//
+// (B = OptimizerOptions::recost_bound). This is the re-cost check of SCR
+// (Dutt, Narasayya & Chaudhuri, SIGMOD 2017): Cout grows at most linearly
+// in each relation's selectivity, so no plan costs less at the new point
+// than its optimize-point cost divided by that product. Taking C_e as the
+// optimum at the optimize point, a served plan costs at most B times the
+// optimum at the new one. A failed check, a stale entry, or mismatched
+// slots escalate: the caller must run OptimizeParameterized and Insert,
+// which *replaces* the entry (`reoptimizations`).
 //
 // == Feedback ==
 //
 // After execution, RecordObservedLambdas folds the executed plan's
 // observed per-filter lambdas (FilterStats::ObservedLambda — exact, merged
 // once per query) into the entry as an EWMA. When the EWMA drifts further
-// than `lambda_drift_margin` from the optimize-time estimate, the entry is
-// marked stale (`drift_invalidations`) and the next shape hit
-// re-optimizes — the paper's robustness margin made runtime-live.
+// than `lambda_drift_margin` from the entry's drift reference, the entry
+// is marked stale (`drift_invalidations`) and the next shape hit
+// re-optimizes. The reference starts as the optimize-time estimate; an
+// entry that replaces a stale one instead takes the stale entry's
+// observed EWMA for every filter with the same (source_join, applied_at).
+// A re-optimization under unchanged statistics reproduces the same
+// estimates, so without that re-anchoring it would drift again on every
+// hit; with it, drift re-optimizes once per shape and then settles.
 //
 // == Ownership and concurrent execution ==
 //
@@ -82,13 +96,14 @@
 namespace bqo {
 
 /// \brief One cached (or privately rebound) plan: the optimized plan, the
-/// owned graph copy it is bound to, the slot/band annotations reuse keys
-/// on, and the optimize-time measurements a hit amortizes.
+/// owned graph copy it is bound to, the slot/selectivity annotations reuse
+/// keys on, and the optimize-time measurements a hit amortizes.
 struct CachedPlan {
   JoinGraph graph;  ///< owned copy; plan.graph points at this member
   Plan plan;
-  /// Estimated bitvector-aware Cout of the cached plan — re-reported on
-  /// hits so serving metrics stay comparable with the miss path.
+  /// Estimated bitvector-aware Cout: at optimize time for a cache entry
+  /// (C_e of the re-cost check), at the rebound selectivities for a
+  /// rebound instance (its re-cost R).
   double estimated_cost = 0;
   int pruned_filters = 0;
   int64_t optimize_ns = 0;  ///< what the hit saved
@@ -96,8 +111,9 @@ struct CachedPlan {
   // ---- Reuse annotations (src/optimizer/parameterized.h) ----
   std::vector<std::vector<Value>> constants;  ///< optimize-time slot table
   std::vector<double> optimize_sel;           ///< per relation
-  std::vector<SelectivityBand> bands;         ///< per relation
-  std::vector<double> estimated_lambda;       ///< per filter id
+  /// Drift reference per filter id: the optimize-time estimated lambda, or
+  /// the replaced stale entry's observed EWMA (see Feedback above).
+  std::vector<double> lambda_reference;
 
   // ---- Feedback block: the only mutable state of a shared entry ----
   /// Observed-lambda EWMA per filter id (< 0 = no samples yet); guarded
@@ -111,7 +127,7 @@ struct CachedPlan {
 struct PlanCacheOptions {
   size_t capacity = 64;  ///< LRU capacity (>= 1)
   /// Drift margin on observed lambda: an entry whose per-filter EWMA
-  /// leaves [estimate - margin, estimate + margin] is marked stale and
+  /// leaves [reference - margin, reference + margin] is marked stale and
   /// re-optimized on its next shape hit. <= 0 disables drift feedback.
   /// Env overlay: BQO_DRIFT_MARGIN (ApplyServingEnvOverrides).
   double lambda_drift_margin = 0.25;
@@ -148,12 +164,16 @@ class PlanCache {
   /// \brief Shape lookup + constant re-bind for `query_graph` (bound
   /// tables and actual literals required; statistics not required — only
   /// moved relations are re-estimated, against the entry's recorded
-  /// values). `catalog_version` is the current Catalog::version(); if it
-  /// differs from the version the cache last saw, every entry is flushed
-  /// first (counted as one invalidation) and the lookup misses. `trace`
-  /// (optional) records the re-bind work as a span (src/obs/trace.h).
+  /// values). A re-bind is re-costed with `stats` under `options`
+  /// (filter_fp_rate, recost_bound) — the options the shape signature was
+  /// built from. `catalog_version` is the current Catalog::version(); if
+  /// it differs from the version the cache last saw, every entry is
+  /// flushed first (counted as one invalidation) and the lookup misses.
+  /// `trace` (optional) records the re-bind work as a span
+  /// (src/obs/trace.h).
   LookupOutcome Lookup(const std::string& shape_signature,
                        int64_t catalog_version, const JoinGraph& query_graph,
+                       StatsCatalog* stats, const OptimizerOptions& options,
                        QueryTrace* trace = nullptr);
 
   /// \brief Insert the result of optimizing `graph` under
@@ -161,11 +181,13 @@ class PlanCache {
   /// caller's; returns the entry (also handed to concurrent clients on
   /// later hits). Replaces an existing entry under the same signature —
   /// the re-optimization escalation path — and evicts the
-  /// least-recently-used entry at capacity.
-  std::shared_ptr<const CachedPlan> Insert(const std::string& shape_signature,
-                                           int64_t catalog_version,
-                                           const JoinGraph& graph,
-                                           ParameterizedPlan optimized);
+  /// least-recently-used entry at capacity. `refused` is the entry a
+  /// kReoptimize lookup returned (null on a miss); if it was stale, the
+  /// new entry's drift references are re-anchored to its observed EWMA.
+  std::shared_ptr<const CachedPlan> Insert(
+      const std::string& shape_signature, int64_t catalog_version,
+      const JoinGraph& graph, ParameterizedPlan optimized,
+      const CachedPlan* refused = nullptr);
 
   /// \brief Fold an executed query's observed per-filter lambdas into
   /// `entry`'s EWMA; marks the entry stale (one drift_invalidation) when

@@ -26,11 +26,6 @@ QueryServiceOptions ApplyServingEnvOverrides(QueryServiceOptions options) {
     const long long cap = std::atoll(c);
     if (cap > 0) options.plan_cache_capacity = static_cast<size_t>(cap);
   }
-  if (const char* b = std::getenv("BQO_SEL_BAND")) {
-    // <= 1 is meaningful: banded reuse off, any moved constant
-    // re-optimizes.
-    options.optimizer.reopt_sel_band = std::atof(b);
-  }
   if (const char* m = std::getenv("BQO_DRIFT_MARGIN")) {
     // <= 0 is meaningful: the drift feedback loop is disabled.
     options.lambda_drift_margin = std::atof(m);
@@ -345,8 +340,9 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
         // lookup) — re-reading here would stamp a stale plan with the new
         // version and serve it forever.
         ScopedSpan lookup_span(trace, SpanKind::kPlanCacheLookup, "lookup");
-        PlanCache::LookupOutcome looked =
-            cache_.Lookup(signature, planned_version, graph, trace);
+        PlanCache::LookupOutcome looked = cache_.Lookup(
+            signature, planned_version, graph, &stats_, options_.optimizer,
+            trace);
         lookup_span.End();
         if (looked.kind == PlanCache::LookupOutcome::Kind::kServed) {
           result.plan_cache_hit = true;
@@ -354,17 +350,24 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
           entry = std::move(looked.instance);
           feedback_entry = std::move(looked.entry);
         } else {
-          // Miss — or an escalation (out-of-band re-bound selectivity, or
-          // an entry gone stale under lambda drift), where Insert
+          // Miss — or an escalation (a re-bind failing the re-cost check,
+          // or an entry gone stale under lambda drift), where Insert
           // replaces the refused entry.
           ScopedSpan optimize_span(trace, SpanKind::kOptimize, "optimize");
           AttachStatistics(&graph);
+          const auto optimize_start = std::chrono::steady_clock::now();
           ParameterizedPlan optimized =
               OptimizeParameterized(graph, &stats_, options_.optimizer);
+          // The whole call, not just its inner OptimizeQuery: the cache
+          // entry re-reports it as what a hit saves.
+          optimized.optimized.optimize_ns =
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - optimize_start)
+                  .count();
           optimize_span.End();
           result.optimize_ns = optimized.optimized.optimize_ns;
           entry = cache_.Insert(signature, planned_version, graph,
-                                std::move(optimized));
+                                std::move(optimized), looked.entry.get());
           feedback_entry = entry;
         }
       } else {

@@ -20,15 +20,16 @@
 //     deferred), then consults the PlanCache under the query's canonical
 //     *shape* signature (literals as slots, src/plan/predicate_shape.h).
 //     A shape hit re-binds the query's constants into the cached plan,
-//     re-estimating only the relations whose slots moved, and serves the
-//     cached join order while those selectivities stay inside the entry's
-//     validity band (src/optimizer/parameterized.h) — skipping the
-//     optimizer entirely (amortizing the paper's Section 6.5 overhead). A
-//     miss — or an escalation (selectivity out of band, or the entry
-//     marked stale by observed-lambda drift) — attaches full statistics
-//     and runs OptimizeParameterized against the shared thread-safe
-//     StatsCatalog, caching (or replacing) the entry. After an OK
-//     execution the observed per-filter lambdas feed back into the entry
+//     re-estimating only the relations whose slots moved, re-costs the
+//     cached plan once at those selectivities, and serves it while the
+//     re-cost stays within OptimizerOptions::recost_bound of the optimum
+//     (src/server/plan_cache.h) — skipping the optimizer entirely
+//     (amortizing the paper's Section 6.5 overhead). A miss — or an
+//     escalation (a failed re-cost check, or the entry marked stale by
+//     observed-lambda drift) — attaches full statistics and runs
+//     OptimizeParameterized against the shared thread-safe StatsCatalog,
+//     caching (or replacing) the entry. After an OK execution the observed
+//     per-filter lambdas feed back into the entry
 //     (PlanCache::RecordObservedLambdas).
 //  3. **Executes** — ExecutePlan on the caller's thread under the query's
 //     QueryContext (cancellation + deadline + first-error slot,
@@ -151,8 +152,8 @@ struct QueryServiceOptions {
 };
 
 /// \brief Overlay the serving env knobs (BQO_DEADLINE_MS,
-/// BQO_ADMISSION_QUEUE, BQO_PLAN_CACHE_CAP, BQO_SEL_BAND,
-/// BQO_DRIFT_MARGIN, BQO_EWMA_ALPHA, BQO_TRACE, BQO_SLOW_QUERY_MS) onto
+/// BQO_ADMISSION_QUEUE, BQO_PLAN_CACHE_CAP, BQO_DRIFT_MARGIN,
+/// BQO_EWMA_ALPHA, BQO_TRACE, BQO_SLOW_QUERY_MS) onto
 /// `options` — how bench binaries plumb them in; the library itself never
 /// reads the environment.
 QueryServiceOptions ApplyServingEnvOverrides(QueryServiceOptions options);
@@ -168,7 +169,9 @@ struct QueryResult {
   Status status;
   QueryMetrics metrics;
   double estimated_cost = 0;
-  int64_t optimize_ns = 0;  ///< 0 on a plan-cache hit (nothing optimized)
+  /// Wall time of this query's optimization (the whole
+  /// OptimizeParameterized call on the cached path); 0 on a plan-cache hit.
+  int64_t optimize_ns = 0;
   int num_joins = 0;
   int pruned_filters = 0;
   bool used_bitvectors = false;

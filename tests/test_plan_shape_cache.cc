@@ -1,30 +1,32 @@
 // Plan-shape cache correctness: the predicate structure/constant split,
-// the JoinGraph shape signature, the parameterized optimizer's validity
-// bands, and the PlanCache's match + re-bind + escalate protocol. Pins:
+// the JoinGraph shape signature, and the PlanCache's match + re-bind +
+// re-cost + escalate protocol. Pins:
 //
 //  * Shape split is lossless: PredicateShape ignores literals but nothing
 //    else; RebindPredicateConstants(structure, constants) reproduces a
 //    predicate with the same shape and exactly those constants.
 //  * ShapeSignature equality across literal changes, inequality across
 //    structural changes (predicate family, relation/join count).
-//  * OptimizeParameterized: every predicated relation's validity band
-//    contains its optimize-time selectivity; slotless relations keep the
-//    full [0,1] band (their selectivity cannot move without a shape
-//    change).
+//  * Re-cost guarantee: a served rebind's re-cost is at most
+//    recost_bound times the estimated cost of a fresh optimization at the
+//    same literals; a far selectivity move escalates.
 //  * PlanCache protocol: exact-constant lookups serve the shared entry
 //    (the zero-slot degenerate case IS the old exact-match cache); moved
-//    constants inside the band serve a private rebound instance; out of
-//    band or stale escalates to kReoptimize and Insert replaces the entry.
-//    Counters land each lookup in exactly one of hits / misses /
-//    reoptimizations.
+//    constants passing the re-cost check serve a private rebound
+//    instance; a failed check or a stale entry escalates to kReoptimize
+//    and Insert replaces the entry. Counters land each lookup in exactly
+//    one of hits / misses / reoptimizations.
 //  * Drift feedback: observed lambda far from the estimate marks the
-//    entry stale exactly once and pins exactly one re-optimization.
+//    entry stale exactly once and pins exactly one re-optimization; the
+//    replacement is re-anchored on the observed lambda, so the same
+//    feedback keeps it served. Through QueryService, a fixed-literal
+//    workload re-optimizes at most once per shape, however many rounds.
 //  * End-to-end parity: a shape hit that re-binds constants produces
 //    checksums and merged filter stats identical to a cold optimize of
 //    the same literals — swept over pool sizes {1,2,4} and star /
 //    snowflake / sort-merge plans.
 //  * A templated workload (same shape, jittered literals) achieves a
-//    shape-hit rate >= 0.9 with zero in-band re-optimizations.
+//    shape-hit rate >= 0.9 with zero re-optimizations.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -141,54 +143,16 @@ TEST(JoinGraphShape, SignatureIgnoresLiteralsNotStructure) {
   EXPECT_NE(graph.value().ShapeSignature(), graph4.value().ShapeSignature());
 
   // Optimizer knobs are part of the cache key (they change the plan), but
-  // the band/drift knobs are not (they bound reuse, not the plan).
+  // the re-cost bound is not (it bounds reuse, not the plan).
   OptimizerOptions opt;
   OptimizerOptions pruned = opt;
   pruned.lambda_thresh = 0.5;
   EXPECT_NE(PlanCache::ShapeSignature(graph.value(), opt),
             PlanCache::ShapeSignature(graph.value(), pruned));
-  OptimizerOptions banded = opt;
-  banded.reopt_sel_band = 2.0;
+  OptimizerOptions bounded = opt;
+  bounded.recost_bound = 4.0;
   EXPECT_EQ(PlanCache::ShapeSignature(graph.value(), opt),
-            PlanCache::ShapeSignature(graph.value(), banded));
-}
-
-// ---- Parameterized optimization: validity bands ----
-
-TEST(OptimizeParameterized, BandsCoverOptimizePointAndSlotlessStaysFull) {
-  auto db = MakeStarDb(3, 20000, 300, {0.3, 0.6, 0.15}, 1177);
-  auto graph = db->Graph();
-  ASSERT_TRUE(graph.ok());
-  StatsCatalog stats(&db->catalog);
-  OptimizerOptions opt;
-
-  const ParameterizedPlan p =
-      OptimizeParameterized(graph.value(), &stats, opt);
-  const int n = graph.value().num_relations();
-  ASSERT_EQ(static_cast<int>(p.bands.size()), n);
-  ASSERT_EQ(static_cast<int>(p.optimize_sel.size()), n);
-  ASSERT_EQ(static_cast<int>(p.constants.size()), n);
-  ASSERT_FALSE(p.estimated_lambda.empty());
-
-  for (int r = 0; r < n; ++r) {
-    EXPECT_TRUE(p.bands[static_cast<size_t>(r)].Contains(
-        p.optimize_sel[static_cast<size_t>(r)]))
-        << "relation " << r;
-    if (p.constants[static_cast<size_t>(r)].empty()) {
-      // Slotless: selectivity cannot move without a shape change.
-      EXPECT_EQ(p.bands[static_cast<size_t>(r)].lo, 0.0) << r;
-      EXPECT_EQ(p.bands[static_cast<size_t>(r)].hi, 1.0) << r;
-    } else {
-      // Probing never widens past the configured factor.
-      const double sel = p.optimize_sel[static_cast<size_t>(r)];
-      EXPECT_GE(p.bands[static_cast<size_t>(r)].lo,
-                sel / opt.reopt_sel_band - 1e-12)
-          << r;
-      EXPECT_LE(p.bands[static_cast<size_t>(r)].hi,
-                sel * opt.reopt_sel_band + 1e-12)
-          << r;
-    }
-  }
+            PlanCache::ShapeSignature(graph.value(), bounded));
 }
 
 // ---- PlanCache protocol ----
@@ -207,13 +171,15 @@ struct CacheHarness {
     return PlanCache::ShapeSignature(graph, opt);
   }
 
-  /// Optimize `spec` cold and insert it; returns the cache entry.
-  std::shared_ptr<const CachedPlan> OptimizeAndInsert(const QuerySpec& spec) {
+  /// Optimize `spec` cold and insert it, replacing `refused` (the entry a
+  /// kReoptimize lookup returned, if any); returns the cache entry.
+  std::shared_ptr<const CachedPlan> OptimizeAndInsert(
+      const QuerySpec& spec, const CachedPlan* refused = nullptr) {
     auto graph = BuildJoinGraph(db->catalog, spec);
     BQO_CHECK(graph.ok());
     ParameterizedPlan p = OptimizeParameterized(graph.value(), &stats, opt);
     return cache.Insert(Sig(graph.value()), db->catalog.version(),
-                        graph.value(), std::move(p));
+                        graph.value(), std::move(p), refused);
   }
 
   /// Serving-path lookup: statistics deferred, literals bound.
@@ -222,7 +188,14 @@ struct CacheHarness {
         BuildJoinGraph(db->catalog, spec, /*attach_statistics=*/false);
     BQO_CHECK(graph.ok());
     return cache.Lookup(Sig(graph.value()), db->catalog.version(),
-                        graph.value());
+                        graph.value(), &stats, opt);
+  }
+
+  /// Estimated cost of a fresh OptimizeQuery of `spec`.
+  double FreshCost(const QuerySpec& spec) {
+    auto graph = BuildJoinGraph(db->catalog, spec);
+    BQO_CHECK(graph.ok());
+    return OptimizeQuery(graph.value(), &stats, opt).estimated_cost;
   }
 };
 
@@ -249,10 +222,9 @@ TEST(PlanCacheShape, ExactConstantsServeTheSharedEntry) {
   EXPECT_EQ(s.reoptimizations, 0);
 }
 
-TEST(PlanCacheShape, MovedConstantsInBandRebindPrivately) {
-  // Well-separated dimension selectivities {0.3, 0.6, 0.15}: a small nudge
-  // of one literal cannot flip the join order, so the probe-derived band
-  // stays comfortably wide around the optimize point.
+TEST(PlanCacheShape, MovedConstantsPassingRecostRebindPrivately) {
+  // A small nudge of one literal barely moves the cached plan's cost, so
+  // the re-cost check passes with room to spare.
   CacheHarness h(MakeStarDb(3, 12000, 300, {0.3, 0.6, 0.15}, 991));
   const auto entry = h.OptimizeAndInsert(h.db->spec);
 
@@ -272,6 +244,8 @@ TEST(PlanCacheShape, MovedConstantsInBandRebindPrivately) {
   EXPECT_EQ(CollectPredicateConstants(inst.graph.relation(2).predicate),
             CollectPredicateConstants(moved.relations[2].predicate));
   EXPECT_EQ(inst.plan.Signature(), entry->plan.Signature());
+  // The instance reports its re-cost: more rows pass the moved predicate.
+  EXPECT_GT(inst.estimated_cost, entry->estimated_cost);
 
   const PlanCacheStats s = h.cache.stats();
   EXPECT_EQ(s.hits, 1);
@@ -279,12 +253,13 @@ TEST(PlanCacheShape, MovedConstantsInBandRebindPrivately) {
   EXPECT_EQ(s.reoptimizations, 0);
 }
 
-TEST(PlanCacheShape, OutOfBandEscalatesAndInsertReplaces) {
+TEST(PlanCacheShape, FailedRecostEscalatesAndInsertReplaces) {
   CacheHarness h(MakeStarDb(2, 8000, 200, {0.4, 0.5}, 77));
   h.OptimizeAndInsert(h.db->spec);
 
-  // Bound 400 -> 1: selectivity collapses to ~0.001, far below any band
-  // around 0.4 (the widest possible band floor is 0.4 / reopt_sel_band).
+  // Bound 400 -> 1: selectivity collapses from 0.4 to ~0.001, so the
+  // optimum may have fallen ~400x while the cached plan's re-cost cannot
+  // follow it (its other inputs did not move).
   const QuerySpec collapsed = WithBound(*h.db, 1, 1);
   const auto refused = h.Lookup(collapsed);
   EXPECT_EQ(refused.kind, PlanCache::LookupOutcome::Kind::kReoptimize);
@@ -292,7 +267,7 @@ TEST(PlanCacheShape, OutOfBandEscalatesAndInsertReplaces) {
 
   // The escalation path re-optimizes and Insert replaces the entry — the
   // shape's slot now belongs to the new literals.
-  h.OptimizeAndInsert(collapsed);
+  h.OptimizeAndInsert(collapsed, refused.entry.get());
   EXPECT_EQ(h.cache.stats().entries, 1);
   const auto now_exact = h.Lookup(collapsed);
   EXPECT_EQ(now_exact.kind, PlanCache::LookupOutcome::Kind::kServed);
@@ -305,34 +280,100 @@ TEST(PlanCacheShape, OutOfBandEscalatesAndInsertReplaces) {
   EXPECT_EQ(s.misses, 0);
 }
 
-/// Forcing observed lambda outside the drift margin marks the entry stale
-/// exactly once and pins exactly one re-optimization on the next hit.
-TEST(PlanCacheShape, LambdaDriftPinsExactlyOneReoptimization) {
-  CacheHarness h(MakeStarDb(2, 8000, 200, {0.4, 0.5}, 77));
+/// For jittered and far-moved literals, every served rebind's re-cost is
+/// within recost_bound of a fresh optimization's estimated cost at the
+/// same literals, and a far move escalates.
+TEST(PlanCacheShape, RecostGuaranteeBoundsServedRebinds) {
+  CacheHarness h(MakeStarDb(3, 20000, 300, {0.3, 0.6, 0.15}, 1177));
   const auto entry = h.OptimizeAndInsert(h.db->spec);
-  ASSERT_FALSE(entry->estimated_lambda.empty());
+  ASSERT_EQ(static_cast<int>(entry->optimize_sel.size()),
+            entry->graph.num_relations());
+  ASSERT_FALSE(entry->lambda_reference.empty());
 
-  // Synthesize feedback as far from the estimate as possible: a filter
-  // that eliminated everything if the estimate was low, nothing if high —
-  // guaranteed past the default 0.25 margin.
-  std::vector<FilterStats> observed(entry->estimated_lambda.size());
+  // SelPredicate's bounds for the selectivities above.
+  const int64_t warm_bounds[] = {300, 600, 150};
+  int served = 0;
+  for (size_t rel = 1; rel <= 3; ++rel) {
+    const int64_t warm = warm_bounds[rel - 1];
+    for (double scale : {0.92, 0.95, 1.05, 1.08, 1.5, 0.5, 0.02}) {
+      const int64_t bound =
+          std::max<int64_t>(1, static_cast<int64_t>(warm * scale));
+      const QuerySpec spec = WithBound(*h.db, rel, bound);
+      const auto outcome = h.Lookup(spec);
+      const std::string what =
+          "rel " + std::to_string(rel) + " bound " + std::to_string(bound);
+      if (outcome.kind != PlanCache::LookupOutcome::Kind::kServed) {
+        ASSERT_EQ(outcome.kind, PlanCache::LookupOutcome::Kind::kReoptimize)
+            << what;
+        continue;
+      }
+      ++served;
+      EXPECT_LE(outcome.instance->estimated_cost,
+                h.opt.recost_bound * h.FreshCost(spec) * (1 + 1e-9))
+          << what;
+    }
+  }
+  // Jitter within 8% passes the check for every relation.
+  EXPECT_GE(served, 3 * 4);
+
+  // A far move (selectivity 0.6 -> 0.001) escalates.
+  EXPECT_EQ(h.Lookup(WithBound(*h.db, 2, 1)).kind,
+            PlanCache::LookupOutcome::Kind::kReoptimize);
+  // The entry itself was never replaced: jitter rebinds privately.
+  EXPECT_EQ(h.cache.stats().entries, 1);
+}
+
+/// Synthesized feedback as far from the reference as possible: a filter
+/// that eliminated everything if the reference was low, nothing if high —
+/// guaranteed past the default 0.25 margin.
+std::vector<FilterStats> DriftedFeedback(const CachedPlan& entry) {
+  std::vector<FilterStats> observed(entry.lambda_reference.size());
   for (size_t id = 0; id < observed.size(); ++id) {
     observed[id].filter_id = static_cast<int>(id);
     observed[id].created = true;
     observed[id].probed = 1000;
-    observed[id].passed = entry->estimated_lambda[id] > 0.5 ? 1000 : 0;
+    observed[id].passed = entry.lambda_reference[id] > 0.5 ? 1000 : 0;
   }
+  return observed;
+}
+
+/// Forcing observed lambda outside the drift margin marks the entry stale
+/// exactly once and pins exactly one re-optimization; the replacement is
+/// re-anchored on the observed lambda, so the same feedback keeps it
+/// served.
+TEST(PlanCacheShape, LambdaDriftPinsExactlyOneReoptimization) {
+  CacheHarness h(MakeStarDb(2, 8000, 200, {0.4, 0.5}, 77));
+  const auto entry = h.OptimizeAndInsert(h.db->spec);
+  ASSERT_FALSE(entry->lambda_reference.empty());
+
+  const std::vector<FilterStats> observed = DriftedFeedback(*entry);
   h.cache.RecordObservedLambdas(entry, observed);
   h.cache.RecordObservedLambdas(entry, observed);  // already stale: no-op
   EXPECT_EQ(h.cache.stats().drift_invalidations, 1);
 
   // Same constants, but the entry is stale: the hit must escalate...
-  EXPECT_EQ(h.Lookup(h.db->spec).kind,
-            PlanCache::LookupOutcome::Kind::kReoptimize);
+  const auto refused = h.Lookup(h.db->spec);
+  ASSERT_EQ(refused.kind, PlanCache::LookupOutcome::Kind::kReoptimize);
   // ...exactly once: the replacing insert clears the staleness.
-  h.OptimizeAndInsert(h.db->spec);
+  const auto replacement =
+      h.OptimizeAndInsert(h.db->spec, refused.entry.get());
   EXPECT_EQ(h.Lookup(h.db->spec).kind,
             PlanCache::LookupOutcome::Kind::kServed);
+
+  // The same statistics reproduce the same estimates; the replacement's
+  // reference is the drifted observation instead, so feeding it the same
+  // lambdas again neither marks it stale nor re-optimizes.
+  for (size_t id = 0; id < observed.size(); ++id) {
+    EXPECT_EQ(replacement->lambda_reference[id],
+              observed[id].ObservedLambda())
+        << id;
+  }
+  for (int i = 0; i < 3; ++i) {
+    h.cache.RecordObservedLambdas(replacement, observed);
+    EXPECT_EQ(h.Lookup(h.db->spec).kind,
+              PlanCache::LookupOutcome::Kind::kServed);
+  }
+  EXPECT_FALSE(replacement->stale.load());
   EXPECT_EQ(h.cache.stats().reoptimizations, 1);
   EXPECT_EQ(h.cache.stats().drift_invalidations, 1);
 }
@@ -360,7 +401,7 @@ struct TemplateUnderTest {
   std::unique_ptr<TestDb> db;
   size_t jitter_relation;    ///< relation whose literal the template moves
   int64_t warm_bound;        ///< literal the cache is warmed with
-  int64_t hit_bound;         ///< in-band moved literal served as a rebind
+  int64_t hit_bound;         ///< moved literal served as a rebind
   QueryServiceOptions options;
 };
 
@@ -439,7 +480,7 @@ TEST(PlanShapeCacheE2E, RebindMatchesColdOptimizeAcrossPoolSizes) {
   }
 }
 
-/// Templated traffic — one shape, literals jittering inside the band —
+/// Templated traffic — one shape, literals jittering a few percent —
 /// must be served almost entirely from the cache: shape-hit rate >= 0.9
 /// and zero re-optimizations, with every answer equal to a cold optimize
 /// of the same literals.
@@ -471,10 +512,43 @@ TEST(PlanShapeCacheE2E, TemplatedWorkloadShapeHitRate) {
   const PlanCacheStats s = service.cache_stats();
   EXPECT_EQ(s.hits + s.misses + s.reoptimizations, rounds);
   EXPECT_EQ(s.misses, 1);              // only the very first template
-  EXPECT_EQ(s.reoptimizations, 0);     // every jitter stayed in band
+  EXPECT_EQ(s.reoptimizations, 0);     // every jitter passed the re-cost
   EXPECT_GT(s.rebinds, 0);
   EXPECT_GE(s.ShapeHitRate(), 0.9);
   EXPECT_GE(s.HitRate(), 0.9);
+}
+
+/// Drift re-optimization converges: on a fixed-literal workload whose
+/// filters drift (skewed foreign keys the uniform estimate misses, under a
+/// tight margin), each shape re-optimizes at most once, so the count after
+/// 3 rounds equals the count after 12.
+TEST(PlanShapeCacheE2E, DriftReoptimizationConverges) {
+  auto db = MakeStarDb(3, 20000, 300, {0.3, 0.6, 0.15}, 4242, /*zipf=*/1.2);
+  std::vector<QuerySpec> shapes(4, db->spec);
+  shapes[1].relations[3].predicate = nullptr;
+  shapes[2].relations[2].predicate = Between("attr0", 100, 700);
+  shapes[3].relations.pop_back();
+  shapes[3].joins.pop_back();
+
+  QueryServiceOptions options;
+  options.lambda_drift_margin = 0.02;
+  auto run = [&](int rounds) {
+    QueryService service(&db->catalog, options);
+    for (int round = 0; round < rounds; ++round) {
+      for (const QuerySpec& spec : shapes) {
+        EXPECT_TRUE(service.Execute(spec).status.ok());
+      }
+    }
+    return service.cache_stats();
+  };
+  const PlanCacheStats three = run(3);
+  const PlanCacheStats twelve = run(12);
+
+  EXPECT_GT(three.drift_invalidations, 0);  // the filters do drift
+  EXPECT_LE(three.reoptimizations, static_cast<int64_t>(shapes.size()));
+  EXPECT_EQ(twelve.reoptimizations, three.reoptimizations);
+  EXPECT_EQ(twelve.drift_invalidations, three.drift_invalidations);
+  EXPECT_EQ(twelve.misses, static_cast<int64_t>(shapes.size()));
 }
 
 /// Queries without constant slots degenerate to the exact-match cache:

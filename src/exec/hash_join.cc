@@ -248,8 +248,17 @@ void HashJoinOperator::InitProbeState(ProbeState* ps) const {
   ps->cand_probe.resize(kBatchSize);
   ps->cand_hash.resize(kBatchSize);
   ps->sel.resize(kBatchSize);
-  ps->rhashes.resize(kBatchSize);
-  ps->rkeys.resize(size_t{8} * kBatchSize);
+  // Residual scratch sized to the residual filters that rehash: a fixed
+  // 8-key gather buffer would zero-fill 64 KB per join per query.
+  size_t residual_keys = 0;
+  for (size_t f = 0; f < config_.residual_filters.size(); ++f) {
+    if (!residual_uses_probe_hash_[f]) {
+      residual_keys = std::max(
+          residual_keys, config_.residual_filters[f].key_positions.size());
+    }
+  }
+  ps->rhashes.resize(residual_keys > 0 ? kBatchSize : 0);
+  ps->rkeys.resize(residual_keys * kBatchSize);
   ps->residual_stats.assign(config_.residual_filters.size(), FilterStats{});
   ps->cursor = 0;
   ps->pending_entry = -1;

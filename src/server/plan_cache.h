@@ -55,7 +55,8 @@
 // observed EWMA for every filter with the same (source_join, applied_at).
 // A re-optimization under unchanged statistics reproduces the same
 // estimates, so without that re-anchoring it would drift again on every
-// hit; with it, drift re-optimizes once per shape and then settles.
+// hit; with it, drift re-optimizes once per shape and then settles (an
+// evicted shape starts again from the estimate).
 //
 // == Ownership and concurrent execution ==
 //

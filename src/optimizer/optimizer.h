@@ -48,15 +48,6 @@ struct OptimizerOptions {
   /// Bloom — whose probe-cost/FPR trade minimizes its cost
   /// (PlanFilter::chosen_kind). Part of the plan's cache identity.
   FilterMenuOptions filter_menu;
-
-  /// Sub-optimality bound B of re-bound plan reuse (src/server/
-  /// plan_cache.h): a cached plan re-costed at moved selectivities is
-  /// served iff R * prod(s_opt / s_new over selectivities that fell)
-  /// <= B * C_e, which bounds its cost by B times the optimum at the new
-  /// point. Not part of the plan's cache identity — it bounds reuse, it
-  /// does not change the plan optimization produces. 1 serves only
-  /// re-bound plans the check proves optimal.
-  double recost_bound = 2.0;
 };
 
 struct OptimizedQuery {

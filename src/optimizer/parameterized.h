@@ -29,6 +29,8 @@ namespace bqo {
 /// plan-shape cache needs to re-bind and re-cost it. All vectors indexed
 /// by relation, except estimated_lambda (by filter id).
 struct ParameterizedPlan {
+  /// optimized.optimize_ns is the wall time of the whole
+  /// OptimizeParameterized call (optimize + annotation walk).
   OptimizedQuery optimized;
   /// Constant slot table the plan was optimized under (one vector per
   /// relation — which selectivity estimate depends on which slots).

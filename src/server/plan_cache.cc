@@ -22,9 +22,8 @@ PlanCache::PlanCache(size_t capacity)
 std::string PlanCache::ShapeSignature(const JoinGraph& graph,
                                       const OptimizerOptions& options) {
   // Optimizer knobs first — they change the produced plan, so they are
-  // part of the identity of the cached artifact. The re-cost bound and
-  // drift knobs are deliberately absent: they bound reuse, not the plan
-  // itself.
+  // part of the identity of the cached artifact. The drift knobs are
+  // deliberately absent: they bound reuse, not the plan itself.
   std::string sig = StringFormat(
       "mode=%s;lambda=%.9g;fp=%.9g;dp=%d;exh=%zu;"
       "menu=%d;mbits=%.9g;mcf=%.9g/%.9g;mcp=%.9g",
@@ -43,7 +42,7 @@ PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
                                            int64_t catalog_version,
                                            const JoinGraph& query_graph,
                                            StatsCatalog* stats,
-                                           const OptimizerOptions& options,
+                                           double filter_fp_rate,
                                            QueryTrace* trace) {
   LookupOutcome out;
   {
@@ -121,9 +120,9 @@ PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
   inst->plan = entry.plan.Clone();
   inst->plan.graph = &inst->graph;
   inst->estimated_cost =
-      EstimatedCoutModel(stats, options.filter_fp_rate).Cout(inst->plan);
+      EstimatedCoutModel(stats, filter_fp_rate).Cout(inst->plan);
   if (inst->estimated_cost * optimum_drop >
-      options.recost_bound * entry.estimated_cost) {
+      kRecostBound * entry.estimated_cost) {
     // The cached plan is not provably within the bound of the optimum at
     // these selectivities. Escalate.
     return refuse();
@@ -157,9 +156,11 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
   entry->optimize_sel = std::move(optimized.optimize_sel);
   entry->lambda_reference = std::move(optimized.estimated_lambda);
   entry->lambda_ewma.assign(entry->lambda_reference.size(), -1.0);
-  if (refused != nullptr && refused->stale.load(std::memory_order_relaxed)) {
-    // Re-anchor drift on what the stale entry observed: the estimates
-    // just reproduced are the ones it drifted away from.
+  if (refused != nullptr && refused->stale.load(std::memory_order_relaxed) &&
+      refused->constants == entry->constants) {
+    // Re-anchor drift on what the stale entry observed at these same
+    // literals: the estimates just reproduced are the ones it drifted
+    // away from. (At moved literals its observations do not apply.)
     std::lock_guard<std::mutex> feedback(refused->feedback_mu);
     for (const PlanFilter& f : entry->plan.filters) {
       for (const PlanFilter& old : refused->plan.filters) {

@@ -34,7 +34,7 @@
 //
 //     R * prod_{moved r: s_new < s_opt} (s_opt / s_new) <= B * C_e
 //
-// (B = OptimizerOptions::recost_bound). This is the re-cost check of SCR
+// (B = kRecostBound = 2). This is the re-cost check of SCR
 // (Dutt, Narasayya & Chaudhuri, SIGMOD 2017): Cout grows at most linearly
 // in each relation's selectivity, so no plan costs less at the new point
 // than its optimize-point cost divided by that product. Taking C_e as the
@@ -51,12 +51,15 @@
 // than `lambda_drift_margin` from the entry's drift reference, the entry
 // is marked stale (`drift_invalidations`) and the next shape hit
 // re-optimizes. The reference starts as the optimize-time estimate; an
-// entry that replaces a stale one instead takes the stale entry's
-// observed EWMA for every filter with the same (source_join, applied_at).
-// A re-optimization under unchanged statistics reproduces the same
-// estimates, so without that re-anchoring it would drift again on every
-// hit; with it, drift re-optimizes once per shape and then settles (an
-// evicted shape starts again from the estimate).
+// entry that replaces a stale one *at the same constants* instead takes
+// the stale entry's observed EWMA for every filter with the same
+// (source_join, applied_at). A re-optimization under unchanged statistics
+// and literals reproduces the same estimates, so without that
+// re-anchoring it would drift again on every hit; with it, drift
+// re-optimizes once per shape and then settles. A replacement optimized
+// at moved constants keeps its own estimates — the stale entry observed
+// lambda at other literals, which says nothing about the new point — as
+// does an evicted shape, which starts again from the estimate.
 //
 // == Ownership and concurrent execution ==
 //
@@ -95,6 +98,10 @@
 #include "src/optimizer/parameterized.h"
 
 namespace bqo {
+
+/// Sub-optimality bound B of re-bound plan reuse (header comment): a
+/// served rebind costs at most B times the optimum at its selectivities.
+inline constexpr double kRecostBound = 2.0;
 
 /// \brief One cached (or privately rebound) plan: the optimized plan, the
 /// owned graph copy it is bound to, the slot/selectivity annotations reuse
@@ -165,16 +172,16 @@ class PlanCache {
   /// \brief Shape lookup + constant re-bind for `query_graph` (bound
   /// tables and actual literals required; statistics not required — only
   /// moved relations are re-estimated, against the entry's recorded
-  /// values). A re-bind is re-costed with `stats` under `options`
-  /// (filter_fp_rate, recost_bound) — the options the shape signature was
-  /// built from. `catalog_version` is the current Catalog::version(); if
+  /// values). A re-bind is re-costed with `stats` at `filter_fp_rate` —
+  /// the optimizer option the shape signature was built from.
+  /// `catalog_version` is the current Catalog::version(); if
   /// it differs from the version the cache last saw, every entry is
   /// flushed first (counted as one invalidation) and the lookup misses.
   /// `trace` (optional) records the re-bind work as a span
   /// (src/obs/trace.h).
   LookupOutcome Lookup(const std::string& shape_signature,
                        int64_t catalog_version, const JoinGraph& query_graph,
-                       StatsCatalog* stats, const OptimizerOptions& options,
+                       StatsCatalog* stats, double filter_fp_rate,
                        QueryTrace* trace = nullptr);
 
   /// \brief Insert the result of optimizing `graph` under
@@ -183,8 +190,9 @@ class PlanCache {
   /// later hits). Replaces an existing entry under the same signature —
   /// the re-optimization escalation path — and evicts the
   /// least-recently-used entry at capacity. `refused` is the entry a
-  /// kReoptimize lookup returned (null on a miss); if it was stale, the
-  /// new entry's drift references are re-anchored to its observed EWMA.
+  /// kReoptimize lookup returned (null on a miss); if it was stale and
+  /// was optimized at the same constants, the new entry's drift
+  /// references are re-anchored to its observed EWMA.
   std::shared_ptr<const CachedPlan> Insert(
       const std::string& shape_signature, int64_t catalog_version,
       const JoinGraph& graph, ParameterizedPlan optimized,

@@ -341,8 +341,8 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
         // version and serve it forever.
         ScopedSpan lookup_span(trace, SpanKind::kPlanCacheLookup, "lookup");
         PlanCache::LookupOutcome looked = cache_.Lookup(
-            signature, planned_version, graph, &stats_, options_.optimizer,
-            trace);
+            signature, planned_version, graph, &stats_,
+            options_.optimizer.filter_fp_rate, trace);
         lookup_span.End();
         if (looked.kind == PlanCache::LookupOutcome::Kind::kServed) {
           result.plan_cache_hit = true;
@@ -355,15 +355,8 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
           // replaces the refused entry.
           ScopedSpan optimize_span(trace, SpanKind::kOptimize, "optimize");
           AttachStatistics(&graph);
-          const auto optimize_start = std::chrono::steady_clock::now();
           ParameterizedPlan optimized =
               OptimizeParameterized(graph, &stats_, options_.optimizer);
-          // The whole call, not just its inner OptimizeQuery: the cache
-          // entry re-reports it as what a hit saves.
-          optimized.optimized.optimize_ns =
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - optimize_start)
-                  .count();
           optimize_span.End();
           result.optimize_ns = optimized.optimized.optimize_ns;
           entry = cache_.Insert(signature, planned_version, graph,

@@ -22,7 +22,7 @@
 //     A shape hit re-binds the query's constants into the cached plan,
 //     re-estimating only the relations whose slots moved, re-costs the
 //     cached plan once at those selectivities, and serves it while the
-//     re-cost stays within OptimizerOptions::recost_bound of the optimum
+//     re-cost stays within kRecostBound (2x) of the optimum
 //     (src/server/plan_cache.h) — skipping the optimizer entirely
 //     (amortizing the paper's Section 6.5 overhead). A miss — or an
 //     escalation (a failed re-cost check, or the entry marked stale by

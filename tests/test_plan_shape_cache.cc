@@ -8,7 +8,7 @@
 //  * ShapeSignature equality across literal changes, inequality across
 //    structural changes (predicate family, relation/join count).
 //  * Re-cost guarantee: a served rebind's re-cost is at most
-//    recost_bound times the estimated cost of a fresh optimization at the
+//    kRecostBound times the estimated cost of a fresh optimization at the
 //    same literals; a far selectivity move escalates.
 //  * PlanCache protocol: exact-constant lookups serve the shared entry
 //    (the zero-slot degenerate case IS the old exact-match cache); moved
@@ -19,7 +19,8 @@
 //  * Drift feedback: observed lambda far from the estimate marks the
 //    entry stale exactly once and pins exactly one re-optimization; the
 //    replacement is re-anchored on the observed lambda, so the same
-//    feedback keeps it served. Through QueryService, a fixed-literal
+//    feedback keeps it served — but only at the same literals: one
+//    optimized at moved literals keeps its own estimates. Through QueryService, a fixed-literal
 //    workload re-optimizes at most once per shape, however many rounds.
 //  * End-to-end parity: a shape hit that re-binds constants produces
 //    checksums and merged filter stats identical to a cold optimize of
@@ -142,17 +143,12 @@ TEST(JoinGraphShape, SignatureIgnoresLiteralsNotStructure) {
   ASSERT_TRUE(graph4.ok());
   EXPECT_NE(graph.value().ShapeSignature(), graph4.value().ShapeSignature());
 
-  // Optimizer knobs are part of the cache key (they change the plan), but
-  // the re-cost bound is not (it bounds reuse, not the plan).
+  // Optimizer knobs are part of the cache key (they change the plan).
   OptimizerOptions opt;
   OptimizerOptions pruned = opt;
   pruned.lambda_thresh = 0.5;
   EXPECT_NE(PlanCache::ShapeSignature(graph.value(), opt),
             PlanCache::ShapeSignature(graph.value(), pruned));
-  OptimizerOptions bounded = opt;
-  bounded.recost_bound = 4.0;
-  EXPECT_EQ(PlanCache::ShapeSignature(graph.value(), opt),
-            PlanCache::ShapeSignature(graph.value(), bounded));
 }
 
 // ---- PlanCache protocol ----
@@ -188,7 +184,7 @@ struct CacheHarness {
         BuildJoinGraph(db->catalog, spec, /*attach_statistics=*/false);
     BQO_CHECK(graph.ok());
     return cache.Lookup(Sig(graph.value()), db->catalog.version(),
-                        graph.value(), &stats, opt);
+                        graph.value(), &stats, opt.filter_fp_rate);
   }
 
   /// Estimated cost of a fresh OptimizeQuery of `spec`.
@@ -281,7 +277,7 @@ TEST(PlanCacheShape, FailedRecostEscalatesAndInsertReplaces) {
 }
 
 /// For jittered and far-moved literals, every served rebind's re-cost is
-/// within recost_bound of a fresh optimization's estimated cost at the
+/// within kRecostBound of a fresh optimization's estimated cost at the
 /// same literals, and a far move escalates.
 TEST(PlanCacheShape, RecostGuaranteeBoundsServedRebinds) {
   CacheHarness h(MakeStarDb(3, 20000, 300, {0.3, 0.6, 0.15}, 1177));
@@ -309,7 +305,7 @@ TEST(PlanCacheShape, RecostGuaranteeBoundsServedRebinds) {
       }
       ++served;
       EXPECT_LE(outcome.instance->estimated_cost,
-                h.opt.recost_bound * h.FreshCost(spec) * (1 + 1e-9))
+                kRecostBound * h.FreshCost(spec) * (1 + 1e-9))
           << what;
     }
   }
@@ -376,6 +372,43 @@ TEST(PlanCacheShape, LambdaDriftPinsExactlyOneReoptimization) {
   EXPECT_FALSE(replacement->stale.load());
   EXPECT_EQ(h.cache.stats().reoptimizations, 1);
   EXPECT_EQ(h.cache.stats().drift_invalidations, 1);
+}
+
+/// A stale entry refused for far-moved literals observed its lambdas at
+/// other literals: the replacement, optimized at the new point, keeps its
+/// own estimates as drift reference.
+TEST(PlanCacheShape, StaleRefusalAtMovedConstantsKeepsEstimates) {
+  CacheHarness h(MakeStarDb(2, 8000, 200, {0.4, 0.5}, 77));
+  const auto entry = h.OptimizeAndInsert(h.db->spec);
+  const std::vector<FilterStats> observed = DriftedFeedback(*entry);
+  h.cache.RecordObservedLambdas(entry, observed);
+  ASSERT_TRUE(entry->stale.load());
+
+  // Bound 400 -> 1: selectivity 0.4 -> ~0.001.
+  const QuerySpec moved = WithBound(*h.db, 1, 1);
+  const auto refused = h.Lookup(moved);
+  ASSERT_EQ(refused.kind, PlanCache::LookupOutcome::Kind::kReoptimize);
+  const auto replacement = h.OptimizeAndInsert(moved, refused.entry.get());
+
+  auto graph = BuildJoinGraph(h.db->catalog, moved);
+  ASSERT_TRUE(graph.ok());
+  const std::vector<double> estimated =
+      OptimizeParameterized(graph.value(), &h.stats, h.opt).estimated_lambda;
+  ASSERT_EQ(replacement->lambda_reference.size(), estimated.size());
+  int matched = 0;  // filters re-anchoring would have overwritten
+  for (const PlanFilter& f : replacement->plan.filters) {
+    const size_t id = static_cast<size_t>(f.id);
+    EXPECT_EQ(replacement->lambda_reference[id], estimated[id]) << id;
+    for (const PlanFilter& old : entry->plan.filters) {
+      if (old.source_join == f.source_join &&
+          old.applied_at == f.applied_at &&
+          observed[static_cast<size_t>(old.id)].ObservedLambda() !=
+              estimated[id]) {
+        ++matched;
+      }
+    }
+  }
+  EXPECT_GT(matched, 0);
 }
 
 // ---- End-to-end: shape hits execute identically to cold optimizes ----
